@@ -26,7 +26,6 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/imagegen"
 	"repro/internal/knn"
-	"repro/internal/mtree"
 	"repro/internal/persist"
 	"repro/internal/simplextree"
 	"repro/internal/vptree"
@@ -645,20 +644,6 @@ func BenchmarkKNNSearchBatch(b *testing.B) {
 func BenchmarkKNNVPTree(b *testing.B) {
 	data := benchCollection(b, 2000)
 	tree, err := vptree.Build(data, distance.Euclidean{}, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Search(data[i%len(data)], 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkKNNMTree(b *testing.B) {
-	data := benchCollection(b, 2000)
-	tree, err := mtree.BuildFrom(data, distance.Euclidean{}, 16)
 	if err != nil {
 		b.Fatal(err)
 	}

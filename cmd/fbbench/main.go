@@ -541,16 +541,18 @@ func runServeBench(scale float64, k, sessions int, seed int64, epsilon float64) 
 	}
 	fmt.Printf("# collection: %d images (%d bins)\n", res.Collection, res.Dim)
 	fmt.Printf("# each level: train phase (oracle feedback loops, inserts) then bypass phase (same stream, no feedback)\n")
-	fmt.Printf("%-8s %-8s %10s %12s %12s %12s %10s %10s %9s\n",
-		"clients", "phase", "sessions", "sess/s", "p50(us)", "p99(us)", "cache-hit", "warm", "inserted")
+	fmt.Printf("# latency columns are p50/p99 in us per op kind; every session is one open and one close\n")
+	fmt.Printf("%-8s %-8s %9s %10s %10s %15s %15s %15s %10s %8s %9s\n",
+		"clients", "phase", "sessions", "feedbacks", "sess/s", "open", "feedback", "close", "cache-hit", "warm", "inserted")
 	for _, lvl := range res.Levels {
 		for _, row := range []struct {
 			name string
 			ph   experiments.ServePhaseResult
 		}{{"train", lvl.Train}, {"bypass", lvl.Bypass}} {
-			fmt.Printf("%-8d %-8s %10d %12.1f %12.0f %12.0f %9.1f%% %9.1f%% %9d\n",
-				lvl.Clients, row.name, row.ph.Sessions, row.ph.SessionsPerSec, row.ph.P50Micros,
-				row.ph.P99Micros, 100*row.ph.CacheHitRate, 100*row.ph.WarmRate, row.ph.Inserted)
+			fmt.Printf("%-8d %-8s %9d %10d %10.1f %15s %15s %15s %9.1f%% %7.1f%% %9d\n",
+				lvl.Clients, row.name, row.ph.Sessions, row.ph.Feedbacks, row.ph.SessionsPerSec,
+				p50p99(row.ph.Open), p50p99(row.ph.Feedback), p50p99(row.ph.Close),
+				100*row.ph.CacheHitRate, 100*row.ph.WarmRate, row.ph.Inserted)
 		}
 	}
 	st := res.FinalStats
@@ -643,13 +645,14 @@ func runShardBench(scale float64, k, sessions int, seed int64, epsilon float64) 
 	}
 	fmt.Printf("# collection: %d images (%d bins); insert bench: %d durable ε=0 inserts (WAL+tree) from %d goroutines\n",
 		res.Collection, res.Dim, cfg.InsertOps, cfg.Writers)
-	fmt.Printf("%-7s %12s %8s %12s %12s %12s %12s %10s %10s\n",
-		"shards", "inserts/s", "touched", "train s/s", "bypass s/s", "byp p50(us)", "byp p99(us)", "cache-hit", "retention")
+	fmt.Printf("# bypass open/close columns are p50/p99 in us\n")
+	fmt.Printf("%-7s %12s %8s %12s %12s %15s %15s %10s %10s\n",
+		"shards", "inserts/s", "touched", "train s/s", "bypass s/s", "byp open", "byp close", "cache-hit", "retention")
 	for _, lvl := range res.Levels {
-		fmt.Printf("%-7d %12.0f %8d %12.1f %12.1f %12.0f %12.0f %9.1f%% %9.1f%%\n",
+		fmt.Printf("%-7d %12.0f %8d %12.1f %12.1f %15s %15s %9.1f%% %9.1f%%\n",
 			lvl.Shards, lvl.InsertsPerSec, lvl.ShardsTouched,
 			lvl.Train.SessionsPerSec, lvl.Bypass.SessionsPerSec,
-			lvl.Bypass.P50Micros, lvl.Bypass.P99Micros,
+			p50p99(lvl.Bypass.Open), p50p99(lvl.Bypass.Close),
 			100*lvl.Bypass.CacheHitRate, 100*lvl.CacheRetention)
 	}
 	fmt.Println()
@@ -678,12 +681,13 @@ func runStoreBench(scale float64, k, sessions int, seed int64, epsilon float64) 
 		fail(err)
 	}
 	fmt.Printf("# collection: %d images (%d bins), FBMX file %d KiB\n", res.Collection, res.Dim, res.FileBytes/1024)
-	fmt.Printf("%-8s %12s %12s %12s %12s %12s %12s %12s\n",
-		"backend", "cold(us)", "warm(us)", "batch(us/q)", "train s/s", "bypass s/s", "byp p50(us)", "byp p99(us)")
+	fmt.Printf("# bypass open/close columns are p50/p99 in us\n")
+	fmt.Printf("%-8s %12s %12s %12s %12s %12s %15s %15s\n",
+		"backend", "cold(us)", "warm(us)", "batch(us/q)", "train s/s", "bypass s/s", "byp open", "byp close")
 	for _, b := range res.Backends {
-		fmt.Printf("%-8s %12.0f %12.1f %12.1f %12.1f %12.1f %12.0f %12.0f\n",
+		fmt.Printf("%-8s %12.0f %12.1f %12.1f %12.1f %12.1f %15s %15s\n",
 			b.Backend, b.ColdScanMicros, b.WarmScanMicros, b.BatchMicrosPerQuery,
-			b.Train.SessionsPerSec, b.Bypass.SessionsPerSec, b.Bypass.P50Micros, b.Bypass.P99Micros)
+			b.Train.SessionsPerSec, b.Bypass.SessionsPerSec, p50p99(b.Bypass.Open), p50p99(b.Bypass.Close))
 	}
 	fmt.Printf("# mmap/heap warm tiled-batch ratio: %.3fx (acceptance bound 1.15x)\n\n", res.WarmRatio)
 	if report != nil {
@@ -740,12 +744,12 @@ func runChaosBench(seed int64) {
 		fail(err)
 	}
 	fmt.Println("# crash-schedule sweep: one fresh module + injected kill per mutating fs op, then recovery on a healthy disk")
-	fmt.Printf("%-14s %13s %10s %10s %12s %12s %12s\n",
-		"layout", "crash-points", "acked-lost", "rec-fail", "extra-replay", "rec-mean(us)", "rec-max(us)")
-	for _, sweep := range []experiments.ChaosCrashSweep{res.SingleTree, res.Sharded} {
-		fmt.Printf("%-14s %13d %10d %10d %12d %12.0f %12.0f\n",
+	fmt.Printf("%-14s %13s %10s %10s %8s %12s %12s %12s\n",
+		"layout", "crash-points", "acked-lost", "rec-fail", "hybrid", "extra-replay", "rec-mean(us)", "rec-max(us)")
+	for _, sweep := range []experiments.CrashSweep{res.SingleTree, res.Sharded} {
+		fmt.Printf("%-14s %13d %10d %10d %8d %12d %12.0f %12.0f\n",
 			sweep.Layout, sweep.CrashPoints, sweep.AckedLost, sweep.RecoveryFailures,
-			sweep.ExtraReplayed, sweep.RecoveryMeanMicros, sweep.RecoveryMaxMicros)
+			sweep.HybridStates, sweep.ExtraReplayed, sweep.RecoveryMeanMicros, sweep.RecoveryMaxMicros)
 	}
 	d := res.Degraded
 	fmt.Println("\n# degraded mode: journal disk goes bad after the acked inserts; module must flip read-only, not lie")
@@ -799,7 +803,7 @@ func runLifecycleBench(seed int64, inserts int, horizon uint64, compactEvery int
 	fmt.Println("\n# compaction crash sweep: one fresh module + injected kill per mutating fs op, recovery checked against the healthy census sequence")
 	fmt.Printf("%-14s %13s %10s %10s %8s %10s %10s\n",
 		"layout", "crash-points", "rec-fail", "acked-lost", "hybrid", "post-comp", "in-flight")
-	for _, sweep := range []experiments.LifecycleCrashSweep{res.SingleTree, res.Sharded} {
+	for _, sweep := range []experiments.CrashSweep{res.SingleTree, res.Sharded} {
 		fmt.Printf("%-14s %13d %10d %10d %8d %10d %10d\n",
 			sweep.Layout, sweep.CrashPoints, sweep.RecoveryFailures, sweep.AckedLost,
 			sweep.HybridStates, sweep.PostCompaction, sweep.InFlightReplayed)
@@ -808,6 +812,11 @@ func runLifecycleBench(seed int64, inserts int, horizon uint64, compactEvery int
 	if report != nil {
 		report.Lifecycle = &res
 	}
+}
+
+// p50p99 renders one op kind's latency as a "p50/p99" cell in µs.
+func p50p99(l experiments.OpLatency) string {
+	return fmt.Sprintf("%.1f/%.1f", l.P50Micros, l.P99Micros)
 }
 
 func fail(err error) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,5 +227,53 @@ func TestHardenedMiddleware(t *testing.T) {
 	}
 	if m := reg.Snapshot().Find("fb_http_timeouts_total"); m == nil || m.Value != 1 {
 		t.Fatalf("fb_http_timeouts_total = %+v, want 1", m)
+	}
+}
+
+// TestRequestBodyCap: /query and /feedback bodies past the collection's
+// size cap get 413 carrying the request ID, while the largest
+// well-formed request — every row's score for a session opened with
+// k = rows, each at full float64 precision — still fits.
+func TestRequestBodyCap(t *testing.T) {
+	srv, ds, _ := newFaultyTestServer(t)
+
+	item := 0
+	var st stateJSON
+	if code := postJSON(t, srv.URL+"/query", queryRequest{Item: &item, K: ds.Len()}, &st); code != http.StatusOK {
+		t.Fatalf("query with k = rows: status %d", code)
+	}
+	if len(st.Results) != ds.Len() {
+		t.Fatalf("k = rows session returned %d results, want %d", len(st.Results), ds.Len())
+	}
+	scores := make([]float64, len(st.Results))
+	for i := range scores {
+		scores[i] = 1 / float64(i+3)
+	}
+	var next stateJSON
+	if code := postJSON(t, srv.URL+"/feedback", feedbackRequest{Session: st.Session, Scores: scores}, &next); code != http.StatusOK {
+		t.Fatalf("full scores list: status %d", code)
+	}
+
+	// A numeric list twice the cap's size, well-formed up to the cut.
+	limit := 32*(ds.Dim+ds.Len()) + 4<<10
+	huge := "[" + strings.Repeat("0.5,", limit/2) + "0.5]"
+	for path, body := range map[string]string{
+		"/query":    `{"feature":` + huge + `}`,
+		"/feedback": fmt.Sprintf(`{"session":%d,"scores":%s}`, st.Session, huge),
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var errResp errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&errResp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversized body: status %d, want 413", path, resp.StatusCode)
+		}
+		if err != nil || errResp.RequestID == "" || errResp.RequestID != resp.Header.Get("X-Request-Id") {
+			t.Errorf("%s oversized body: error body %+v (%v), want request_id = X-Request-Id %q",
+				path, errResp, err, resp.Header.Get("X-Request-Id"))
+		}
 	}
 }

@@ -1247,8 +1247,7 @@ func (c *collection) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !c.decodeBody(w, r, &req) {
 		return
 	}
 	feature := req.Feature
@@ -1294,8 +1293,7 @@ func (c *collection) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req feedbackRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !c.decodeBody(w, r, &req) {
 		return
 	}
 	st, err := c.svc.Feedback(r.Context(), req.Session, req.Scores)
@@ -1312,8 +1310,7 @@ func (c *collection) handleClose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req closeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !c.decodeBody(w, r, &req) {
 		return
 	}
 	res, err := c.svc.Close(r.Context(), req.Session)
@@ -1327,6 +1324,32 @@ func (c *collection) handleClose(w http.ResponseWriter, r *http.Request) {
 		Iterations: res.Iterations,
 		Inserted:   res.Inserted,
 	})
+}
+
+// bodyLimit caps a request body at room for the largest well-formed
+// request on this collection: a query feature of Dim numbers, or the
+// scores of a session opened with k = every row, at bytesPerNumber each
+// (a full-precision float64 with separator and whitespace), plus slack
+// for field names and a session id.
+func (c *collection) bodyLimit() int64 {
+	const bytesPerNumber, slack = 32, 4 << 10
+	return bytesPerNumber*int64(c.ds.Dim+c.ds.Len()) + slack
+}
+
+// decodeBody decodes the JSON request body into v, read through a
+// bodyLimit cap. On failure it writes the error — 413 for an oversized
+// body, 400 for a malformed one — and returns false.
+func (c *collection) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, c.bodyLimit())).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := statusFor(err)
+	if status == http.StatusInternalServerError {
+		status = http.StatusBadRequest // malformed JSON is the client's
+	}
+	writeError(w, r, status, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 // statusClientClosedRequest is the de-facto (nginx) status for a request
@@ -1346,6 +1369,9 @@ func statusFor(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, core.ErrOutOfDomain), errors.Is(err, service.ErrInvalidArgument):
 		return http.StatusBadRequest
+	case errors.As(err, new(*http.MaxBytesError)):
+		// The body outgrew the collection's request-size cap.
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, store.ErrOutOfRange):
 		// A bounds failure on the serving path is a client-supplied bad
 		// index, classified by the store's sentinel instead of reaching

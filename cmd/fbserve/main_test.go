@@ -538,6 +538,7 @@ func TestStatusForMapping(t *testing.T) {
 		{"out-of-domain-wrapped", fmt.Errorf("predict: %w", core.ErrOutOfDomain), http.StatusBadRequest, ""},
 		{"invalid-argument", service.ErrInvalidArgument, http.StatusBadRequest, ""},
 		{"store-bounds", store.ErrOutOfRange, http.StatusBadRequest, ""},
+		{"body-too-large-wrapped", fmt.Errorf("bad request body: %w", &http.MaxBytesError{Limit: 64}), http.StatusRequestEntityTooLarge, ""},
 		{"store-bounds-wrapped", fmt.Errorf("dataset: %w: row 9 of 3", store.ErrOutOfRange), http.StatusBadRequest, ""},
 		{"shard-replaying", shardedbypass.ErrReplaying, http.StatusServiceUnavailable, "1"},
 		{"shard-replaying-wrapped", fmt.Errorf("shard 2: %w", shardedbypass.ErrReplaying), http.StatusServiceUnavailable, "1"},

@@ -30,7 +30,7 @@
 // The packages under internal implement every substrate of the paper's
 // evaluation: distance functions, relevance-feedback engines, HSV
 // histogram extraction, a synthetic categorized image collection, k-NN
-// query processing (sequential scan, VP-tree, M-tree), and the experiment
+// query processing (sequential scan, VP-tree, IVF), and the experiment
 // harness reproducing Figures 1 and 9–16 (see DESIGN.md and
 // EXPERIMENTS.md).
 package feedbackbypass

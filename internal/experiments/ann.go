@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/ann"
@@ -179,20 +178,6 @@ func annCollection(rows, dim, clusters, queries int, seed int64) ([][]float64, [
 	return data, qs
 }
 
-// latencyStats runs fn once per query, returning p50 and p99 in µs.
-func latencyStats(n int, fn func(i int) error) (p50, p99 float64, err error) {
-	lats := make([]float64, n)
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		if err := fn(i); err != nil {
-			return 0, 0, err
-		}
-		lats[i] = float64(time.Since(t0).Nanoseconds()) / 1e3
-	}
-	sort.Float64s(lats)
-	return lats[n/2], lats[n*99/100], nil
-}
-
 // RunANN builds the clustered collection at each scale, measures the
 // exact-scan baseline, then sweeps IVF indexes over (nlist, quant) —
 // reprobing each built index across the nprobe grid — and reports
@@ -241,13 +226,14 @@ func RunANN(cfg ANNConfig) (ANNResult, error) {
 				truthSets[i][r.Index] = true
 			}
 		}
-		sres.ExactP50Micros, sres.ExactP99Micros, err = latencyStats(len(qs), func(i int) error {
+		exact, err := timeEach(len(qs), func(i int) error {
 			_, err := scan.Search(qs[i], cfg.K, metric)
 			return err
 		})
 		if err != nil {
 			return ANNResult{}, err
 		}
+		sres.ExactP50Micros, sres.ExactP99Micros = exact.P50Micros, exact.P99Micros
 		exactBytes := float64(8 * sc.Rows * cfg.Dim)
 
 		for _, nlist := range sc.NLists {
@@ -300,13 +286,14 @@ func RunANN(cfg ANNConfig) (ANNResult, error) {
 					}
 					pt.RecallAtK = float64(hits) / float64(len(qs)*cfg.K)
 
-					pt.P50Micros, pt.P99Micros, err = latencyStats(len(qs), func(i int) error {
+					single, err := timeEach(len(qs), func(i int) error {
 						_, err := idx.Search(qs[i], cfg.K, metric)
 						return err
 					})
 					if err != nil {
 						return ANNResult{}, err
 					}
+					pt.P50Micros, pt.P99Micros = single.P50Micros, single.P99Micros
 					if pt.RecallAtK >= 0.95 {
 						sres.BestSpeedupAtRecall = math.Max(sres.BestSpeedupAtRecall, pt.Speedup)
 					}

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,8 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
-	"repro/internal/shardedbypass"
-	"repro/internal/simplextree"
 	"repro/internal/vec"
 )
 
@@ -61,28 +57,6 @@ func DefaultChaosConfig() ChaosConfig {
 	}
 }
 
-// ChaosCrashSweep is one layout's crash-schedule result: the workload is
-// run once per mutating filesystem operation with a process-kill
-// injected at exactly that operation, then recovered on a healthy disk.
-type ChaosCrashSweep struct {
-	Layout string `json:"layout"`
-	// CrashPoints is the number of schedules = mutating ops of the
-	// fault-free workload.
-	CrashPoints int `json:"crash_points"`
-	// RecoveryFailures counts schedules whose reopen failed (must be 0).
-	RecoveryFailures int `json:"recovery_failures"`
-	// AckedLost counts acknowledged inserts missing after recovery,
-	// summed over all schedules (the headline invariant: must be 0).
-	AckedLost int `json:"acked_lost"`
-	// ExtraReplayed counts un-acknowledged in-flight inserts that
-	// recovery resurrected (a fully written record whose fsync or
-	// rollback died with the crash) — bounded by 1 per schedule.
-	ExtraReplayed int `json:"extra_replayed"`
-	// Recovery time over all schedules.
-	RecoveryMeanMicros float64 `json:"recovery_mean_us"`
-	RecoveryMaxMicros  float64 `json:"recovery_max_us"`
-}
-
 // ChaosDegraded is the degraded-mode phase: a healthy module's journal
 // disk goes bad, and the module must keep serving reads (parity-pinned
 // against a healthy twin) while rejecting writes with the typed sentinel.
@@ -120,12 +94,12 @@ type ChaosQuota struct {
 
 // ChaosResult aggregates the whole figure.
 type ChaosResult struct {
-	D          int             `json:"d"`
-	P          int             `json:"p"`
-	SingleTree ChaosCrashSweep `json:"single_tree"`
-	Sharded    ChaosCrashSweep `json:"sharded"`
-	Degraded   ChaosDegraded   `json:"degraded"`
-	Quota      ChaosQuota      `json:"quota"`
+	D          int           `json:"d"`
+	P          int           `json:"p"`
+	SingleTree CrashSweep    `json:"single_tree"`
+	Sharded    CrashSweep    `json:"sharded"`
+	Degraded   ChaosDegraded `json:"degraded"`
+	Quota      ChaosQuota    `json:"quota"`
 }
 
 // chaosPoint draws a strictly interior simplex point: every coordinate
@@ -167,192 +141,14 @@ func chaosOQP(rng *rand.Rand, d, p int) core.OQP {
 	return oqp
 }
 
-// chaosVertexKey is a vertex's bitwise identity: Point ++ Value as raw
-// float64 bits, so two vertices compare equal iff they are bit-identical.
-func chaosVertexKey(v *simplextree.Vertex) string {
-	buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)))
-	for _, x := range v.Point {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	for _, x := range v.Value {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return string(buf)
-}
-
-// chaosModule abstracts the two layouts behind the operations the sweep
-// needs: insert, census, close.
-type chaosModule interface {
-	Insert(q []float64, oqp core.OQP) (bool, error)
-	Census() (map[string]bool, error)
-	Close() error
-}
-
-type singleModule struct{ db *core.DurableBypass }
-
-func (m singleModule) Insert(q []float64, oqp core.OQP) (bool, error) { return m.db.Insert(q, oqp) }
-func (m singleModule) Close() error                                   { return m.db.Close() }
-func (m singleModule) Census() (map[string]bool, error) {
-	set := map[string]bool{}
-	m.db.Tree().Walk(func(v *simplextree.Vertex) { set[chaosVertexKey(v)] = true })
-	return set, nil
-}
-
-type shardedModule struct{ s *shardedbypass.Sharded }
-
-func (m shardedModule) Insert(q []float64, oqp core.OQP) (bool, error) { return m.s.Insert(q, oqp) }
-func (m shardedModule) Close() error                                   { return m.s.Close() }
-func (m shardedModule) Census() (map[string]bool, error) {
-	set := map[string]bool{}
-	err := m.s.Walk(func(v *simplextree.Vertex) { set[chaosVertexKey(v)] = true })
-	return set, err
-}
-
-// chaosLayout opens one of the two layouts rooted at dir over fs (nil =
-// the real filesystem).
-type chaosLayout struct {
-	name string
-	open func(dir string, fs *faultfs.FS, cfg ChaosConfig) (chaosModule, error)
-}
-
-func chaosLayouts(cfg ChaosConfig) []chaosLayout {
-	dur := func(fs *faultfs.FS) core.DurableOptions {
-		opts := core.DurableOptions{CompactEvery: cfg.CompactEvery, Sync: true}
-		if fs != nil {
-			opts.FS = fs
-		}
-		return opts
-	}
-	return []chaosLayout{
-		{
-			name: "single-tree",
-			open: func(dir string, fs *faultfs.FS, cfg ChaosConfig) (chaosModule, error) {
-				db, err := core.OpenDurable(dir, cfg.D, cfg.P, core.Config{Epsilon: 0}, dur(fs))
-				if err != nil {
-					return nil, err
-				}
-				return singleModule{db}, nil
-			},
-		},
-		{
-			name: fmt.Sprintf("sharded(%d)", cfg.Shards),
-			open: func(dir string, fs *faultfs.FS, cfg ChaosConfig) (chaosModule, error) {
-				s, err := shardedbypass.Open(dir, cfg.D, cfg.P, core.Config{Epsilon: 0}, shardedbypass.Options{
-					Shards:  cfg.Shards,
-					Durable: dur(fs),
-				})
-				if err != nil {
-					return nil, err
-				}
-				return shardedModule{s}, nil
-			},
-		},
-	}
-}
-
-// chaosWorkload drives cfg.Inserts inserts; insert errors are swallowed
-// (a crashed run errors by design) — the census of the module's own
-// in-memory tree at return is exactly the acknowledged state.
-func chaosWorkload(m chaosModule, cfg ChaosConfig) {
+// chaosOps is the crash sweep's insert-only workload.
+func chaosOps(cfg ChaosConfig) []crashOp {
 	rng := rand.New(rand.NewSource(cfg.Seed + 41))
-	for i := 0; i < cfg.Inserts; i++ {
-		_, _ = m.Insert(chaosPoint(rng, cfg.D), chaosOQP(rng, cfg.D, cfg.P))
+	ops := make([]crashOp, cfg.Inserts)
+	for i := range ops {
+		ops[i] = crashOp{q: chaosPoint(rng, cfg.D), oqp: chaosOQP(rng, cfg.D, cfg.P)}
 	}
-}
-
-// runCrashSweep enumerates every crash point of one layout's workload.
-func runCrashSweep(root string, lay chaosLayout, cfg ChaosConfig) (ChaosCrashSweep, error) {
-	out := ChaosCrashSweep{Layout: lay.name}
-
-	// Counting run: how many mutating filesystem operations does the
-	// fault-free workload perform?
-	countFS := faultfs.New(nil)
-	m, err := lay.open(filepath.Join(root, "count"), countFS, cfg)
-	if err != nil {
-		return out, fmt.Errorf("counting run: %w", err)
-	}
-	chaosWorkload(m, cfg)
-	if err := m.Close(); err != nil {
-		return out, fmt.Errorf("counting run close: %w", err)
-	}
-	total := countFS.Ops()
-	out.CrashPoints = total
-
-	// Baseline census of a fresh, insert-free module: the D+1 domain
-	// corner vertices every open seeds. A schedule that crashes during
-	// open acknowledges nothing, but its recovery still (re)creates a
-	// fresh module — so the corner set, not the empty set, is what
-	// recovery owes it.
-	bm, err := lay.open(filepath.Join(root, "baseline"), nil, cfg)
-	if err != nil {
-		return out, fmt.Errorf("baseline open: %w", err)
-	}
-	baseline, err := bm.Census()
-	if err != nil {
-		_ = bm.Close()
-		return out, fmt.Errorf("baseline census: %w", err)
-	}
-	if err := bm.Close(); err != nil {
-		return out, fmt.Errorf("baseline close: %w", err)
-	}
-
-	var recSum, recMax float64
-	for n := 1; n <= total; n++ {
-		dir := filepath.Join(root, fmt.Sprintf("crash-%04d", n))
-		fs := faultfs.New(nil)
-		fs.SetCrashAt(n)
-		m, err := lay.open(dir, fs, cfg)
-		var want map[string]bool
-		if err == nil {
-			chaosWorkload(m, cfg)
-			want, err = m.Census()
-			if err != nil {
-				return out, fmt.Errorf("crash %d census: %w", n, err)
-			}
-			_ = m.Close() // post-crash close errors are expected
-		} else {
-			// Crashed during open: nothing was acknowledged, and recovery
-			// owes exactly a fresh module (the corner vertices).
-			want = baseline
-		}
-		if !fs.Crashed() {
-			return out, fmt.Errorf("crash %d/%d never fired", n, total)
-		}
-
-		// Recovery on a healthy disk.
-		t0 := time.Now()
-		rm, err := lay.open(dir, nil, cfg)
-		rec := float64(time.Since(t0).Microseconds())
-		if err != nil {
-			out.RecoveryFailures++
-			continue
-		}
-		recSum += rec
-		if rec > recMax {
-			recMax = rec
-		}
-		got, err := rm.Census()
-		if err != nil {
-			_ = rm.Close()
-			return out, fmt.Errorf("recovery %d census: %w", n, err)
-		}
-		if err := rm.Close(); err != nil {
-			return out, fmt.Errorf("recovery %d close: %w", n, err)
-		}
-		for key := range want {
-			if !got[key] {
-				out.AckedLost++
-			}
-		}
-		if extra := len(got) - len(want); extra > 0 {
-			out.ExtraReplayed += extra
-		}
-	}
-	if ok := total - out.RecoveryFailures; ok > 0 {
-		out.RecoveryMeanMicros = recSum / float64(ok)
-	}
-	out.RecoveryMaxMicros = recMax
-	return out, nil
+	return ops
 }
 
 // runDegraded exercises read-only degraded serving: journal disk goes
@@ -518,11 +314,12 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	defer os.RemoveAll(root)
 
 	res := ChaosResult{D: cfg.D, P: cfg.P}
-	layouts := chaosLayouts(cfg)
-	if res.SingleTree, err = runCrashSweep(filepath.Join(root, "single"), layouts[0], cfg); err != nil {
+	layouts := crashLayouts(cfg.D, cfg.P, cfg.Shards, core.Config{Epsilon: 0}, cfg.CompactEvery)
+	ops := chaosOps(cfg)
+	if res.SingleTree, err = runCrashSweep(filepath.Join(root, "single"), layouts[0], ops); err != nil {
 		return res, fmt.Errorf("single-tree crash sweep: %w", err)
 	}
-	if res.Sharded, err = runCrashSweep(filepath.Join(root, "sharded"), layouts[1], cfg); err != nil {
+	if res.Sharded, err = runCrashSweep(filepath.Join(root, "sharded"), layouts[1], ops); err != nil {
 		return res, fmt.Errorf("sharded crash sweep: %w", err)
 	}
 	if res.Degraded, err = runDegraded(root, cfg); err != nil {

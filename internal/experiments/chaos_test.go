@@ -22,7 +22,7 @@ func TestRunChaosInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sweep := range []ChaosCrashSweep{res.SingleTree, res.Sharded} {
+	for _, sweep := range []CrashSweep{res.SingleTree, res.Sharded} {
 		if sweep.CrashPoints == 0 {
 			t.Fatalf("%s: no crash points enumerated", sweep.Layout)
 		}
@@ -31,6 +31,9 @@ func TestRunChaosInvariants(t *testing.T) {
 		}
 		if sweep.AckedLost != 0 {
 			t.Errorf("%s: %d acknowledged inserts lost", sweep.Layout, sweep.AckedLost)
+		}
+		if sweep.HybridStates != 0 {
+			t.Errorf("%s: %d hybrid recovered states", sweep.Layout, sweep.HybridStates)
 		}
 		if sweep.ExtraReplayed > sweep.CrashPoints {
 			t.Errorf("%s: %d extra replays over %d schedules", sweep.Layout, sweep.ExtraReplayed, sweep.CrashPoints)

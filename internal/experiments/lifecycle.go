@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
@@ -99,42 +100,17 @@ type LifecycleSeries struct {
 	Samples     []LifecyclePoint `json:"samples"`
 }
 
-// LifecycleCrashSweep is one layout's compaction crash-schedule result.
-// Every schedule kills the module at exactly one mutating filesystem
-// operation, recovers on a healthy disk, and checks the recovered census
-// (vertex point, value AND stamp, bitwise) against the healthy run's
-// census sequence: it must land on the last acknowledged state, or on
-// the in-flight operation's state — never between or beside them.
-type LifecycleCrashSweep struct {
-	Layout      string `json:"layout"`
-	CrashPoints int    `json:"crash_points"`
-	// RecoveryFailures counts schedules whose reopen failed (must be 0).
-	RecoveryFailures int `json:"recovery_failures"`
-	// AckedLost counts acknowledged vertices the recovered census is
-	// missing, summed over all schedules (must be 0).
-	AckedLost int `json:"acked_lost"`
-	// HybridStates counts schedules whose recovered census matches no
-	// state the healthy run ever passed through (must be 0).
-	HybridStates int `json:"hybrid_states"`
-	// PostCompaction counts recoveries that landed on the state of an
-	// unacknowledged in-flight compaction (its snapshot rename committed
-	// before the crash); InFlightReplayed likewise for an in-flight
-	// insert whose journal record survived.
-	PostCompaction   int `json:"post_compaction"`
-	InFlightReplayed int `json:"in_flight_replayed"`
-}
-
 // LifecycleResult aggregates the whole figure.
 type LifecycleResult struct {
-	D            int                 `json:"d"`
-	P            int                 `json:"p"`
-	Inserts      int                 `json:"inserts"`
-	AgeHorizon   uint64              `json:"age_horizon"`
-	CompactEvery int                 `json:"compact_every"`
-	Aging        LifecycleSeries     `json:"aging"`
-	Control      LifecycleSeries     `json:"control"`
-	SingleTree   LifecycleCrashSweep `json:"single_tree"`
-	Sharded      LifecycleCrashSweep `json:"sharded"`
+	D            int             `json:"d"`
+	P            int             `json:"p"`
+	Inserts      int             `json:"inserts"`
+	AgeHorizon   uint64          `json:"age_horizon"`
+	CompactEvery int             `json:"compact_every"`
+	Aging        LifecycleSeries `json:"aging"`
+	Control      LifecycleSeries `json:"control"`
+	SingleTree   CrashSweep      `json:"single_tree"`
+	Sharded      CrashSweep      `json:"sharded"`
 }
 
 // driftPoint draws an interior simplex point from a window whose center
@@ -238,19 +214,19 @@ func runLifecycleMode(cfg LifecycleConfig, horizon uint64) (LifecycleSeries, err
 	return out, nil
 }
 
-// lcModule abstracts the two durable layouts behind the operations the
-// compaction crash sweep needs.
-type lcModule struct {
+// crashModule abstracts the two durable layouts behind the operations
+// the crash sweep needs.
+type crashModule struct {
 	insert  func(q []float64, oqp core.OQP) (bool, error)
 	compact func() ([]core.CompactionStats, error)
 	walk    func(fn func(v *simplextree.Vertex)) error
 	close   func() error
 }
 
-// lcVertexKey is a vertex's full bitwise identity — point, value and
+// vertexKey is a vertex's full bitwise identity — point, value and
 // aging stamp — so census equality also pins that recovery restored the
 // timestamps replay depends on.
-func lcVertexKey(v *simplextree.Vertex) string {
+func vertexKey(v *simplextree.Vertex) string {
 	buf := make([]byte, 0, 8*(len(v.Point)+len(v.Value)+1))
 	for _, x := range v.Point {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
@@ -262,40 +238,48 @@ func lcVertexKey(v *simplextree.Vertex) string {
 	return string(buf)
 }
 
-func (m lcModule) census() (map[string]bool, error) {
+func (m crashModule) census() (map[string]bool, error) {
 	set := map[string]bool{}
-	err := m.walk(func(v *simplextree.Vertex) { set[lcVertexKey(v)] = true })
+	err := m.walk(func(v *simplextree.Vertex) { set[vertexKey(v)] = true })
 	return set, err
 }
 
-// lcLayout opens one durable layout rooted at dir over fs (nil = the
-// real filesystem), with aging enabled so compactions actually reclaim.
-type lcLayout struct {
-	name string
-	open func(dir string, fs *faultfs.FS) (lcModule, error)
+func (m crashModule) apply(op crashOp) error {
+	if op.compact {
+		_, err := m.compact()
+		return err
+	}
+	_, err := m.insert(op.q, op.oqp)
+	return err
 }
 
-func lifecycleLayouts(cfg LifecycleConfig) []lcLayout {
-	treeCfg := core.Config{Epsilon: 0, AgeHorizon: cfg.CrashAgeHorizon}
+// crashLayout opens one durable layout rooted at dir over fs (nil = the
+// real filesystem).
+type crashLayout struct {
+	name string
+	open func(dir string, fs *faultfs.FS) (crashModule, error)
+}
+
+// crashLayouts returns the single-tree and sharded layouts over treeCfg;
+// compactEvery is the journal depth that triggers a snapshot swap inside
+// Insert.
+func crashLayouts(d, p, shards int, treeCfg core.Config, compactEvery int) []crashLayout {
 	dur := func(fs *faultfs.FS) core.DurableOptions {
-		// Journal-depth compaction is disabled: every snapshot swap in
-		// the schedule is an explicit CompactAged, so the sweep's crash
-		// points map one-to-one onto the lifecycle path under test.
-		opts := core.DurableOptions{CompactEvery: 1 << 30, Sync: true}
+		opts := core.DurableOptions{CompactEvery: compactEvery, Sync: true}
 		if fs != nil {
 			opts.FS = fs
 		}
 		return opts
 	}
-	return []lcLayout{
+	return []crashLayout{
 		{
 			name: "single-tree",
-			open: func(dir string, fs *faultfs.FS) (lcModule, error) {
-				db, err := core.OpenDurable(dir, cfg.D, cfg.P, treeCfg, dur(fs))
+			open: func(dir string, fs *faultfs.FS) (crashModule, error) {
+				db, err := core.OpenDurable(dir, d, p, treeCfg, dur(fs))
 				if err != nil {
-					return lcModule{}, err
+					return crashModule{}, err
 				}
-				return lcModule{
+				return crashModule{
 					insert:  db.Insert,
 					compact: db.CompactAged,
 					walk: func(fn func(v *simplextree.Vertex)) error {
@@ -307,16 +291,16 @@ func lifecycleLayouts(cfg LifecycleConfig) []lcLayout {
 			},
 		},
 		{
-			name: fmt.Sprintf("sharded(%d)", cfg.Shards),
-			open: func(dir string, fs *faultfs.FS) (lcModule, error) {
-				s, err := shardedbypass.Open(dir, cfg.D, cfg.P, treeCfg, shardedbypass.Options{
-					Shards:  cfg.Shards,
+			name: fmt.Sprintf("sharded(%d)", shards),
+			open: func(dir string, fs *faultfs.FS) (crashModule, error) {
+				s, err := shardedbypass.Open(dir, d, p, treeCfg, shardedbypass.Options{
+					Shards:  shards,
 					Durable: dur(fs),
 				})
 				if err != nil {
-					return lcModule{}, err
+					return crashModule{}, err
 				}
-				return lcModule{
+				return crashModule{
 					insert:  s.Insert,
 					compact: s.CompactAged,
 					walk:    s.Walk,
@@ -327,36 +311,49 @@ func lifecycleLayouts(cfg LifecycleConfig) []lcLayout {
 	}
 }
 
-// lcOp is one step of the deterministic crash-phase workload.
-type lcOp struct {
+// crashOp is one step of a deterministic crash-sweep workload: an
+// insert, or an aging compaction.
+type crashOp struct {
 	compact bool
 	q       []float64
 	oqp     core.OQP
 }
 
-func lifecycleOps(cfg LifecycleConfig) []lcOp {
-	rng := rand.New(rand.NewSource(cfg.Seed + 59))
-	var ops []lcOp
-	for i := 0; i < cfg.CrashInserts; i++ {
-		ops = append(ops, lcOp{q: chaosPoint(rng, cfg.D), oqp: chaosOQP(rng, cfg.D, cfg.P)})
-		if cfg.CrashCompactEvery > 0 && (i+1)%cfg.CrashCompactEvery == 0 {
-			ops = append(ops, lcOp{compact: true})
-		}
-	}
-	return ops
+// CrashSweep is one layout's crash-schedule result. Every schedule kills
+// the module at exactly one mutating filesystem operation, recovers on a
+// healthy disk, and checks the recovered census (vertex point, value AND
+// stamp, bitwise) against the healthy run's census sequence: it must
+// land on the last acknowledged state, or on the in-flight operation's
+// state — never between or beside them.
+type CrashSweep struct {
+	Layout string `json:"layout"`
+	// CrashPoints is the number of schedules = mutating filesystem
+	// operations of the fault-free workload, close included.
+	CrashPoints int `json:"crash_points"`
+	// RecoveryFailures counts schedules whose reopen failed (must be 0).
+	RecoveryFailures int `json:"recovery_failures"`
+	// AckedLost counts acknowledged vertices the recovered census is
+	// missing, summed over all schedules (must be 0).
+	AckedLost int `json:"acked_lost"`
+	// HybridStates counts schedules whose recovered census matches no
+	// state the healthy run ever passed through (must be 0).
+	HybridStates int `json:"hybrid_states"`
+	// PostCompaction counts recoveries that landed on the state of an
+	// unacknowledged in-flight compaction (its snapshot rename committed
+	// before the crash); InFlightReplayed likewise for an in-flight
+	// insert whose journal record survived.
+	PostCompaction   int `json:"post_compaction"`
+	InFlightReplayed int `json:"in_flight_replayed"`
+	// ExtraReplayed counts the vertices those surviving in-flight inserts
+	// added beyond the last acknowledged census, summed over schedules.
+	ExtraReplayed int `json:"extra_replayed"`
+	// Recovery (reopen) time over the schedules that recovered.
+	RecoveryMeanMicros float64 `json:"recovery_mean_us"`
+	RecoveryMaxMicros  float64 `json:"recovery_max_us"`
 }
 
-func lcApply(m lcModule, op lcOp) error {
-	if op.compact {
-		_, err := m.compact()
-		return err
-	}
-	_, err := m.insert(op.q, op.oqp)
-	return err
-}
-
-// lcMissing counts keys of a that b lacks.
-func lcMissing(a, b map[string]bool) int {
+// missing counts keys of a that b lacks.
+func missing(a, b map[string]bool) int {
 	n := 0
 	for k := range a {
 		if !b[k] {
@@ -366,13 +363,12 @@ func lcMissing(a, b map[string]bool) int {
 	return n
 }
 
-func lcEqual(a, b map[string]bool) bool {
-	return len(a) == len(b) && lcMissing(a, b) == 0
+func equal(a, b map[string]bool) bool {
+	return len(a) == len(b) && missing(a, b) == 0
 }
 
-// runLifecycleCrashSweep enumerates every crash point of one layout's
-// compacting workload and verifies recovery against the healthy run's
-// census sequence.
+// runCrashSweep enumerates every crash point of one layout's workload
+// and verifies recovery against the healthy run's census sequence.
 //
 // The invariant: with k acknowledged operations at crash time, the
 // recovered census must satisfy lo ⊆ census ⊆ hi, where lo/hi bracket
@@ -381,13 +377,13 @@ func lcEqual(a, b map[string]bool) bool {
 // bracket is ordered either way). A census outside the bracket is a
 // hybrid: it either lost acknowledged state or mixes pre- and
 // post-compaction trees.
-func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (LifecycleCrashSweep, error) {
-	out := LifecycleCrashSweep{Layout: lay.name}
-	ops := lifecycleOps(cfg)
+func runCrashSweep(root string, lay crashLayout, ops []crashOp) (CrashSweep, error) {
+	out := CrashSweep{Layout: lay.name}
 
 	// Healthy run: the census sequence S[0..len(ops)] every schedule's
 	// recovery is checked against. S[0] is the fresh module (domain
-	// corners only).
+	// corners only) — what recovery owes a schedule that crashed inside
+	// its first open.
 	sm, err := lay.open(filepath.Join(root, "seq"), nil)
 	if err != nil {
 		return out, fmt.Errorf("sequence open: %w", err)
@@ -399,7 +395,7 @@ func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (Lif
 	}
 	seq = append(seq, c0)
 	for i, op := range ops {
-		if err := lcApply(sm, op); err != nil {
+		if err := sm.apply(op); err != nil {
 			return out, fmt.Errorf("sequence op %d: %w", i, err)
 		}
 		c, err := sm.census()
@@ -420,7 +416,7 @@ func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (Lif
 		return out, fmt.Errorf("counting open: %w", err)
 	}
 	for i, op := range ops {
-		if err := lcApply(cm, op); err != nil {
+		if err := cm.apply(op); err != nil {
 			return out, fmt.Errorf("counting op %d: %w", i, err)
 		}
 	}
@@ -430,20 +426,33 @@ func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (Lif
 	total := countFS.Ops()
 	out.CrashPoints = total
 
+	var recSum float64
 	for n := 1; n <= total; n++ {
 		dir := filepath.Join(root, fmt.Sprintf("crash-%04d", n))
 		fs := faultfs.New(nil)
 		fs.SetCrashAt(n)
 		m, err := lay.open(dir, fs)
-		acked := 0
+		// acked counts the operations whose effect the module showed its
+		// readers; inFlight marks ops[acked] as started but failed.
+		acked, inFlight := 0, false
 		if err == nil {
 			for _, op := range ops {
-				if lcApply(m, op) != nil {
+				if m.apply(op) != nil {
 					// The filesystem is dead from the crash point on;
 					// every later operation fails too.
+					inFlight = true
 					break
 				}
 				acked++
+			}
+			// An insert can fail after its record is journaled and its
+			// vertex is in the tree (the journal-depth compaction it
+			// triggered died); reads serve that vertex from then on, so
+			// recovery owes it like an acknowledged one.
+			if inFlight {
+				if c, err := m.census(); err == nil && equal(c, seq[acked+1]) {
+					acked, inFlight = acked+1, false
+				}
 			}
 			_ = m.close() // post-crash close errors are expected
 		}
@@ -451,11 +460,15 @@ func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (Lif
 			return out, fmt.Errorf("crash %d/%d never fired", n, total)
 		}
 
+		t0 := time.Now()
 		rm, err := lay.open(dir, nil)
+		rec := float64(time.Since(t0).Microseconds())
 		if err != nil {
 			out.RecoveryFailures++
 			continue
 		}
+		recSum += rec
+		out.RecoveryMaxMicros = max(out.RecoveryMaxMicros, rec)
 		got, err := rm.census()
 		if err != nil {
 			_ = rm.close()
@@ -466,30 +479,48 @@ func runLifecycleCrashSweep(root string, lay lcLayout, cfg LifecycleConfig) (Lif
 		}
 
 		lo, hi := seq[acked], seq[acked]
-		if acked < len(ops) {
+		if inFlight {
 			if ops[acked].compact {
 				lo = seq[acked+1] // compaction only removes: post ⊆ pre
 			} else {
 				hi = seq[acked+1] // insert only adds: pre ⊆ post
 			}
 		}
-		lost := lcMissing(lo, got)
-		extra := lcMissing(got, hi)
+		lost := missing(lo, got)
+		extra := missing(got, hi)
 		out.AckedLost += lost
 		switch {
 		case lost > 0 || extra > 0:
 			out.HybridStates++
-		case !lcEqual(got, seq[acked]):
+		case !equal(got, seq[acked]):
 			// Valid but ahead of the last acknowledged state: the
 			// in-flight operation's effect survived the crash.
 			if ops[acked].compact {
 				out.PostCompaction++
 			} else {
 				out.InFlightReplayed++
+				out.ExtraReplayed += len(got) - len(seq[acked])
 			}
 		}
 	}
+	if ok := total - out.RecoveryFailures; ok > 0 {
+		out.RecoveryMeanMicros = recSum / float64(ok)
+	}
 	return out, nil
+}
+
+// lifecycleOps is the crash phase's workload: inserts with an aging
+// compaction after every CrashCompactEvery of them.
+func lifecycleOps(cfg LifecycleConfig) []crashOp {
+	rng := rand.New(rand.NewSource(cfg.Seed + 59))
+	var ops []crashOp
+	for i := 0; i < cfg.CrashInserts; i++ {
+		ops = append(ops, crashOp{q: chaosPoint(rng, cfg.D), oqp: chaosOQP(rng, cfg.D, cfg.P)})
+		if cfg.CrashCompactEvery > 0 && (i+1)%cfg.CrashCompactEvery == 0 {
+			ops = append(ops, crashOp{compact: true})
+		}
+	}
+	return ops
 }
 
 // RunLifecycle runs the full lifecycle figure: both soak modes, then the
@@ -517,11 +548,16 @@ func RunLifecycle(cfg LifecycleConfig) (LifecycleResult, error) {
 		return res, err
 	}
 	defer os.RemoveAll(root)
-	layouts := lifecycleLayouts(cfg)
-	if res.SingleTree, err = runLifecycleCrashSweep(filepath.Join(root, "single"), layouts[0], cfg); err != nil {
+	// Journal-depth compaction is disabled: every snapshot swap in the
+	// schedule is an explicit CompactAged, so the sweep's crash points
+	// map one-to-one onto the lifecycle path under test.
+	layouts := crashLayouts(cfg.D, cfg.P, cfg.Shards,
+		core.Config{Epsilon: 0, AgeHorizon: cfg.CrashAgeHorizon}, 1<<30)
+	ops := lifecycleOps(cfg)
+	if res.SingleTree, err = runCrashSweep(filepath.Join(root, "single"), layouts[0], ops); err != nil {
 		return res, fmt.Errorf("single-tree crash sweep: %w", err)
 	}
-	if res.Sharded, err = runLifecycleCrashSweep(filepath.Join(root, "sharded"), layouts[1], cfg); err != nil {
+	if res.Sharded, err = runCrashSweep(filepath.Join(root, "sharded"), layouts[1], ops); err != nil {
 		return res, fmt.Errorf("sharded crash sweep: %w", err)
 	}
 	return res, nil

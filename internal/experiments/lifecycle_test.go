@@ -1,6 +1,13 @@
 package experiments
 
-import "testing"
+import (
+	"maps"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/faultfs"
+	"repro/internal/simplextree"
+)
 
 // TestRunLifecycleBounded is the CI-sized soak regression gate for the
 // lifecycle plane: with aging on, the tree's vertex count stays bounded
@@ -49,7 +56,7 @@ func TestRunLifecycleBounded(t *testing.T) {
 	}
 
 	// Crash sweeps: compaction swap safety on both durable layouts.
-	for _, sweep := range []LifecycleCrashSweep{res.SingleTree, res.Sharded} {
+	for _, sweep := range []CrashSweep{res.SingleTree, res.Sharded} {
 		if sweep.CrashPoints == 0 {
 			t.Fatalf("%s sweep enumerated no crash points", sweep.Layout)
 		}
@@ -57,5 +64,96 @@ func TestRunLifecycleBounded(t *testing.T) {
 			t.Fatalf("%s sweep: %d recovery failures, %d acked vertices lost, %d hybrid states (want all zero)",
 				sweep.Layout, sweep.RecoveryFailures, sweep.AckedLost, sweep.HybridStates)
 		}
+	}
+}
+
+// reopenHook wraps a layout so that every open of a directory after the
+// first — the sweep's recovery — passes its module through fn; first
+// opens (the healthy, counting and crashed runs) pass through first.
+func reopenHook(lay crashLayout, first, fn func(crashModule) crashModule) crashLayout {
+	opened := map[string]bool{}
+	return crashLayout{name: lay.name, open: func(dir string, fs *faultfs.FS) (crashModule, error) {
+		m, err := lay.open(dir, fs)
+		reopen := opened[dir]
+		opened[dir] = true
+		if err != nil {
+			return m, err
+		}
+		if reopen {
+			return fn(m), nil
+		}
+		return first(m), nil
+	}}
+}
+
+// TestCrashSweepCatchesBrokenRecovery proves the sweep's checks can
+// fail: a recovery that drops an acknowledged vertex must show up as
+// acked loss, and one that brings back a compacted vertex as a hybrid
+// state.
+func TestCrashSweepCatchesBrokenRecovery(t *testing.T) {
+	cfg := DefaultLifecycleConfig()
+	lay := crashLayouts(cfg.D, cfg.P, cfg.Shards,
+		core.Config{Epsilon: 0, AgeHorizon: cfg.CrashAgeHorizon}, 1<<30)[0]
+	ops := lifecycleOps(cfg)
+	same := func(m crashModule) crashModule { return m }
+
+	// Recovery forgets the first inserted vertex it walks.
+	drops := reopenHook(lay, same, func(m crashModule) crashModule {
+		walk := m.walk
+		m.walk = func(fn func(v *simplextree.Vertex)) error {
+			dropped := false
+			return walk(func(v *simplextree.Vertex) {
+				if !dropped && v.Stamp() > 0 {
+					dropped = true
+					return
+				}
+				fn(v)
+			})
+		}
+		return m
+	})
+	res, err := runCrashSweep(t.TempDir(), drops, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AckedLost == 0 {
+		t.Errorf("recovery that drops a vertex reported no acked loss: %+v", res)
+	}
+
+	// Every vertex a healthy compaction reclaimed comes back on recovery.
+	ghosts := map[string]*simplextree.Vertex{}
+	remember := func(m crashModule) crashModule {
+		compact := m.compact
+		m.compact = func() ([]core.CompactionStats, error) {
+			before := map[string]*simplextree.Vertex{}
+			_ = m.walk(func(v *simplextree.Vertex) { before[vertexKey(v)] = v })
+			st, err := compact()
+			if err == nil {
+				_ = m.walk(func(v *simplextree.Vertex) { delete(before, vertexKey(v)) })
+				maps.Copy(ghosts, before)
+			}
+			return st, err
+		}
+		return m
+	}
+	resurrects := reopenHook(lay, remember, func(m crashModule) crashModule {
+		walk := m.walk
+		m.walk = func(fn func(v *simplextree.Vertex)) error {
+			for _, v := range ghosts {
+				fn(v)
+			}
+			return walk(fn)
+		}
+		return m
+	})
+	res, err = runCrashSweep(t.TempDir(), resurrects, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ghosts) == 0 {
+		t.Fatal("workload's compactions reclaimed nothing")
+	}
+	if res.HybridStates == 0 {
+		t.Errorf("recovery that resurrects compacted vertices reported no hybrid state: %+v", res)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -64,9 +63,11 @@ type ServePhaseResult struct {
 	WallSecs  float64 `json:"wall_secs"`
 	// SessionsPerSec is completed sessions per wall-clock second.
 	SessionsPerSec float64 `json:"sessions_per_sec"`
-	// P50/P99 are per-operation latencies in microseconds.
-	P50Micros float64 `json:"p50_us"`
-	P99Micros float64 `json:"p99_us"`
+	// Open, Feedback and Close are the per-op-kind latency
+	// distributions.
+	Open     OpLatency `json:"open"`
+	Feedback OpLatency `json:"feedback"`
+	Close    OpLatency `json:"close"`
 	// CacheHitRate is LRU hits / predictions; WarmRate the fraction of
 	// sessions whose prediction was non-default (the tree had learned the
 	// region); Inserted the closes that changed the tree.
@@ -170,7 +171,7 @@ func runServeLevel(svc *service.Service, ds *dataset.Dataset, cfg ServeConfig, c
 	if err != nil {
 		return ServeLevelResult{}, err
 	}
-	train, err := runServePhase(svc, ds, cfg, clients, items, true)
+	train, err := runServePhase(svc, ds, cfg.K, clients, items, true)
 	if err != nil {
 		return ServeLevelResult{}, err
 	}
@@ -181,7 +182,7 @@ func runServeLevel(svc *service.Service, ds *dataset.Dataset, cfg ServeConfig, c
 	twice := make([]int, 0, 2*len(items))
 	twice = append(twice, items...)
 	twice = append(twice, items...)
-	bypass, err := runServePhase(svc, ds, cfg, clients, twice, false)
+	bypass, err := runServePhase(svc, ds, cfg.K, clients, twice, false)
 	if err != nil {
 		return ServeLevelResult{}, err
 	}
@@ -191,13 +192,12 @@ func runServeLevel(svc *service.Service, ds *dataset.Dataset, cfg ServeConfig, c
 // runServePhase drives `clients` goroutines through complete sessions
 // over the shared query stream. With feedback, sessions run the oracle
 // loop to convergence; without, they are pure bypass reads (Open + Close).
-func runServePhase(svc *service.Service, ds *dataset.Dataset, cfg ServeConfig, clients int, items []int, withFeedback bool) (ServePhaseResult, error) {
+func runServePhase(svc *service.Service, ds *dataset.Dataset, k, clients int, items []int, withFeedback bool) (ServePhaseResult, error) {
 	before := svc.Stats()
 
 	type clientOut struct {
-		latencies []time.Duration
-		feedbacks int
-		err       error
+		lat opLatencies
+		err error
 	}
 	outs := make([]clientOut, clients)
 	next := make(chan int)
@@ -215,43 +215,15 @@ func runServePhase(svc *service.Service, ds *dataset.Dataset, cfg ServeConfig, c
 	start := time.Now()
 	wgDone := make(chan struct{}, clients)
 	for c := 0; c < clients; c++ {
-		go func(c int) {
+		go func(o *clientOut) {
 			defer func() { wgDone <- struct{}{} }()
-			o := &outs[c]
+			p := sessionPlayer{svc: svc, ds: ds, k: k}
 			for idx := range next {
-				item := ds.Items[items[idx]]
-				t0 := time.Now()
-				st, err := svc.Open(context.Background(), item.Feature, cfg.K)
-				o.latencies = append(o.latencies, time.Since(t0))
-				if err != nil {
-					o.err = err
-					return
-				}
-				for withFeedback && !st.Converged {
-					scores := make([]float64, len(st.Results))
-					for i, r := range st.Results {
-						if ds.IsGood(r.Index, item.Category) {
-							scores[i] = 1
-						}
-					}
-					t0 = time.Now()
-					st, err = svc.Feedback(context.Background(), st.ID, scores)
-					o.latencies = append(o.latencies, time.Since(t0))
-					if err != nil {
-						o.err = err
-						return
-					}
-					o.feedbacks++
-				}
-				t0 = time.Now()
-				_, err = svc.Close(context.Background(), st.ID)
-				o.latencies = append(o.latencies, time.Since(t0))
-				if err != nil {
-					o.err = err
+				if _, o.err = p.play(ds.Items[items[idx]], withFeedback, &o.lat, nil); o.err != nil {
 					return
 				}
 			}
-		}(c)
+		}(&outs[c])
 	}
 	for c := 0; c < clients; c++ {
 		<-wgDone
@@ -259,26 +231,26 @@ func runServePhase(svc *service.Service, ds *dataset.Dataset, cfg ServeConfig, c
 	close(done)
 	wall := time.Since(start)
 
-	var all []time.Duration
-	feedbacks := 0
+	var all opLatencies
 	for c := range outs {
 		if outs[c].err != nil {
 			return ServePhaseResult{}, outs[c].err
 		}
-		all = append(all, outs[c].latencies...)
-		feedbacks += outs[c].feedbacks
+		for op := range all {
+			all[op] = append(all[op], outs[c].lat[op]...)
+		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	after := svc.Stats()
 
 	res := ServePhaseResult{
 		Sessions:       len(items),
-		Ops:            len(all),
-		Feedbacks:      feedbacks,
+		Ops:            all.count(),
+		Feedbacks:      len(all[opFeedback]),
 		WallSecs:       wall.Seconds(),
 		SessionsPerSec: float64(len(items)) / wall.Seconds(),
-		P50Micros:      float64(percentile(all, 0.50).Microseconds()),
-		P99Micros:      float64(percentile(all, 0.99).Microseconds()),
+		Open:           summarize(all[opOpen]),
+		Feedback:       summarize(all[opFeedback]),
+		Close:          summarize(all[opClose]),
 		Inserted:       after.InsertsStored - before.InsertsStored,
 	}
 	if dp := after.Predictions - before.Predictions; dp > 0 {
@@ -290,12 +262,46 @@ func runServePhase(svc *service.Service, ds *dataset.Dataset, cfg ServeConfig, c
 	return res, nil
 }
 
-// percentile returns the p-quantile (0 ≤ p ≤ 1) of sorted durations by
-// nearest-rank.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+// sessionPlayer drives oracle-scored sessions against one service: the
+// session-replay protocol of §5, with the category oracle standing in
+// for the user.
+type sessionPlayer struct {
+	svc *service.Service
+	ds  *dataset.Dataset
+	k   int
+}
+
+// play runs one session for item: Open, then — with feedback — rounds
+// scored by the item's category until the session converges, then
+// Close. beforeClose, if non-nil, runs just before Close. When lat is
+// non-nil each call's latency is appended to it by op kind.
+func (p sessionPlayer) play(item dataset.Item, feedback bool, lat *opLatencies, beforeClose func()) (service.CloseResult, error) {
+	ctx := context.Background()
+	t0 := time.Now()
+	st, err := p.svc.Open(ctx, item.Feature, p.k)
+	lat.since(opOpen, t0)
+	if err != nil {
+		return service.CloseResult{}, err
 	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	for feedback && !st.Converged {
+		scores := make([]float64, len(st.Results))
+		for i, r := range st.Results {
+			if p.ds.IsGood(r.Index, item.Category) {
+				scores[i] = 1
+			}
+		}
+		t0 = time.Now()
+		st, err = p.svc.Feedback(ctx, st.ID, scores)
+		lat.since(opFeedback, t0)
+		if err != nil {
+			return service.CloseResult{}, err
+		}
+	}
+	if beforeClose != nil {
+		beforeClose()
+	}
+	t0 = time.Now()
+	res, err := p.svc.Close(ctx, st.ID)
+	lat.since(opClose, t0)
+	return res, err
 }

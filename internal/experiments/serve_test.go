@@ -30,8 +30,16 @@ func TestRunServeSmallScale(t *testing.T) {
 			if ph.Ops < 2*ph.Sessions {
 				t.Errorf("level %d %s: only %d ops", lvl.Clients, name, ph.Ops)
 			}
-			if ph.P50Micros < 0 || ph.P99Micros < ph.P50Micros {
-				t.Errorf("level %d %s: implausible latencies p50=%v p99=%v", lvl.Clients, name, ph.P50Micros, ph.P99Micros)
+			// Every session opens and closes once; feedback rounds are
+			// timed one sample each.
+			if ph.Open.Count != ph.Sessions || ph.Close.Count != ph.Sessions || ph.Feedback.Count != ph.Feedbacks {
+				t.Errorf("level %d %s: op samples open/feedback/close = %d/%d/%d for %d sessions, %d feedbacks",
+					lvl.Clients, name, ph.Open.Count, ph.Feedback.Count, ph.Close.Count, ph.Sessions, ph.Feedbacks)
+			}
+			for op, l := range map[string]OpLatency{"open": ph.Open, "feedback": ph.Feedback, "close": ph.Close} {
+				if l.P50Micros < 0 || l.P99Micros < l.P50Micros {
+					t.Errorf("level %d %s %s: implausible latencies %+v", lvl.Clients, name, op, l)
+				}
 			}
 			if ph.CacheHitRate < 0 || ph.CacheHitRate > 1 || ph.WarmRate < 0 || ph.WarmRate > 1 {
 				t.Errorf("level %d %s: rates out of range: %+v", lvl.Clients, name, ph)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -218,14 +217,13 @@ func runShardServePhases(eng *engine.Engine, ds *dataset.Dataset, codec core.His
 	if err != nil {
 		return err
 	}
-	phaseCfg := ServeConfig{K: cfg.K}
-	if level.Train, err = runServePhase(svc, ds, phaseCfg, cfg.Clients, items, true); err != nil {
+	if level.Train, err = runServePhase(svc, ds, cfg.K, cfg.Clients, items, true); err != nil {
 		return err
 	}
 	twice := make([]int, 0, 2*len(items))
 	twice = append(twice, items...)
 	twice = append(twice, items...)
-	if level.Bypass, err = runServePhase(svc, ds, phaseCfg, cfg.Clients, twice, false); err != nil {
+	if level.Bypass, err = runServePhase(svc, ds, cfg.K, cfg.Clients, twice, false); err != nil {
 		return err
 	}
 
@@ -238,26 +236,12 @@ func runShardServePhases(eng *engine.Engine, ds *dataset.Dataset, codec core.His
 	// bias the ratio. The insert lands in exactly one shard, so S−1 of S
 	// shards keep their entries (S = 1 drops everything — the
 	// pre-sharding behavior).
+	p := sessionPlayer{svc: svc, ds: ds, k: cfg.K}
+	var before int
+	snapshot := func() { before = svc.Stats().CacheEntries }
 	inserted := false
 	for tries := 0; tries < 64 && !inserted; tries++ {
-		idx := ds.Items[srng.Intn(ds.Len())]
-		st, err := svc.Open(context.Background(), idx.Feature, cfg.K)
-		if err != nil {
-			return err
-		}
-		for !st.Converged {
-			scores := make([]float64, len(st.Results))
-			for i, r := range st.Results {
-				if ds.IsGood(r.Index, idx.Category) {
-					scores[i] = 1
-				}
-			}
-			if st, err = svc.Feedback(context.Background(), st.ID, scores); err != nil {
-				return err
-			}
-		}
-		before := svc.Stats().CacheEntries
-		res, err := svc.Close(context.Background(), st.ID)
+		res, err := p.play(ds.Items[srng.Intn(ds.Len())], true, nil, snapshot)
 		if err != nil {
 			return err
 		}

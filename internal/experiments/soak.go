@@ -200,10 +200,14 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 		go func(c int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*7919))
+			p := sessionPlayer{svc: svc, ds: ds, k: cfg.K}
+			var lat opLatencies
 			for ctx.Err() == nil {
-				item := ds.Items[rng.Intn(ds.Len())]
+				for op := range lat {
+					lat[op] = lat[op][:0]
+				}
 				t0 := time.Now()
-				n, err := runSoakSession(svc, ds, item, cfg.K)
+				_, err := p.play(ds.Items[rng.Intn(ds.Len())], true, &lat, nil)
 				if err != nil {
 					// Shutdown races (ctx expired mid-session) are expected;
 					// anything else aborts the soak.
@@ -216,7 +220,7 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 				}
 				wall := time.Since(t0).Seconds()
 				sessions.Add(1)
-				ops.Add(uint64(n))
+				ops.Add(uint64(lat.count()))
 				for i, b := range InteractivityBudgets {
 					if wall <= b {
 						withinBudget[i].Add(1)
@@ -275,33 +279,6 @@ func RunSoak(cfg SoakConfig) (SoakResult, error) {
 		})
 	}
 	return out, nil
-}
-
-// runSoakSession drives one full oracle-scored session and returns the
-// number of service calls it made.
-func runSoakSession(svc *service.Service, ds *dataset.Dataset, item dataset.Item, k int) (int, error) {
-	ctx := context.Background()
-	st, err := svc.Open(ctx, item.Feature, k)
-	if err != nil {
-		return 0, err
-	}
-	n := 1
-	for !st.Converged {
-		scores := make([]float64, len(st.Results))
-		for i, r := range st.Results {
-			if ds.IsGood(r.Index, item.Category) {
-				scores[i] = 1
-			}
-		}
-		st, err = svc.Feedback(ctx, st.ID, scores)
-		n++
-		if err != nil {
-			return n, err
-		}
-	}
-	_, err = svc.Close(ctx, st.ID)
-	n++
-	return n, err
 }
 
 // collectSoakSample reads the cumulative counters and the runtime.

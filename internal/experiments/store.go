@@ -215,18 +215,17 @@ func runStoreBackend(cfg StoreConfig, kind string, backend store.Backend, ds *da
 	if err != nil {
 		return res, err
 	}
-	serveCfg := ServeConfig{Seed: cfg.Seed, Scale: cfg.Scale, K: cfg.K, Epsilon: cfg.Epsilon, SessionsPerLevel: cfg.Sessions}
 	rng := rand.New(rand.NewSource(cfg.Seed + 8111))
 	items, err := ds.SampleQueries(rng, cfg.Sessions)
 	if err != nil {
 		return res, err
 	}
-	res.Train, err = runServePhase(svc, ds, serveCfg, cfg.Clients, items, true)
+	res.Train, err = runServePhase(svc, ds, cfg.K, cfg.Clients, items, true)
 	if err != nil {
 		return res, err
 	}
 	twice := append(append(make([]int, 0, 2*len(items)), items...), items...)
-	res.Bypass, err = runServePhase(svc, ds, serveCfg, cfg.Clients, twice, false)
+	res.Bypass, err = runServePhase(svc, ds, cfg.K, cfg.Clients, twice, false)
 	if err != nil {
 		return res, err
 	}

@@ -1,8 +1,9 @@
 // Package knn implements the "query processing" step of §2: given a query
 // point and a distance function, return the k closest database objects.
-// It provides a Searcher interface with a sequential-scan implementation;
-// packages vptree and mtree provide index-accelerated implementations for
-// fixed metrics (the paper cites X-trees and M-trees for this role).
+// It provides the Searcher interface and the tiled sequential scan that
+// answers weighted queries; package vptree is an exact index for the
+// unweighted Euclidean case, and package ann an approximate IVF tier
+// behind the same BatchSearcher interface.
 package knn
 
 import (

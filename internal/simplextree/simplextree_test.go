@@ -467,11 +467,6 @@ func TestTraversedStatsGrowWithDepth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The write path still records its own traversal for the deprecated
-	// accessor.
-	if tr.LastTraversed() < 1 {
-		t.Errorf("insert traversal = %d, want ≥ 1", tr.LastTraversed())
-	}
 	st, err = tr.PredictInto(dst, q)
 	if err != nil {
 		t.Fatal(err)
